@@ -1040,8 +1040,8 @@ let profile_cmd =
      and the write-back, each with its measured share of the enclosing \
      execution span next to the cost model's attribution for the same \
      level — so systematic model/machine disagreements are visible per \
-     level, not just in the total. Backend phases (specializer compile \
-     vs run, walker) are listed separately. $(b,--json) emits the \
+     level, not just in the total. Backend phases (specializer bind, \
+     compile and run; walker) are listed separately. $(b,--json) emits the \
      mdh-profile/1 document instead; $(b,--flame) additionally writes \
      collapsed stacks (one level chain per line, self time in \
      microseconds) for flamegraph.pl / speedscope."

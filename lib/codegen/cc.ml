@@ -167,22 +167,22 @@ let cleanup t =
   List.iter remove_quiet [ t.src_path; t.exe_path; t.log_path ]
 
 let write_f32_file path (d : Dense.t) =
-  let n = Dense.num_elements d in
-  let b = Bytes.create (4 * n) in
-  for i = 0 to n - 1 do
-    Bytes.set_int32_le b (4 * i)
-      (Int32.bits_of_float (Scalar.to_float (Dense.get_linear d i)))
-  done;
+  let a = Dense.floats d in
+  let b = Bytes.create (4 * Array.length a) in
+  Array.iteri (fun i x -> Bytes.set_int32_le b (4 * i) (Int32.bits_of_float x)) a;
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
 
-let read_f32_file path n =
+(* Fills the output tensor's own store; fp32 bits widen exactly, so no
+   rounding is left to do. *)
+let read_f32_file path out =
   In_channel.with_open_bin path (fun ic ->
-      match In_channel.really_input_string ic (4 * n) with
+      match In_channel.really_input_string ic (4 * Array.length out) with
       | None -> Error "compiled-C backend: short output read"
       | Some s ->
-        Ok
-          (Array.init n (fun i ->
-               Int32.float_of_bits (String.get_int32_le s (4 * i)))))
+        Array.iteri
+          (fun i _ -> out.(i) <- Int32.float_of_bits (String.get_int32_le s (4 * i)))
+          out;
+        Ok ())
 
 let run t env =
   observed h_run @@ fun () ->
@@ -212,13 +212,10 @@ let run t env =
       finish (Error (Printf.sprintf "compiled-C backend: driver exited %d" rc))
     else
       let output = List.hd md.outputs in
-      let out = Buffer.data (Buffer.env_find env' output.Md_hom.out_name) in
-      let n = Dense.num_elements out in
-      match read_f32_file out_path n with
+      let out = Dense.floats (Buffer.data (Buffer.env_find env' output.Md_hom.out_name)) in
+      match read_f32_file out_path out with
       | Error _ as e -> finish e
-      | Ok values ->
-        Array.iteri (fun i v -> Dense.set_linear out i (Scalar.f32 v)) values;
-        finish (Ok env')
+      | Ok () -> finish (Ok env')
 
 let execute md env =
   match build md with

@@ -26,12 +26,14 @@ let check_inputs (md : Md_hom.t) env =
             (Shape.to_string i.inp_shape))
     md.inputs
 
-let alloc_outputs (md : Md_hom.t) env =
+let adopt_outputs (md : Md_hom.t) env store =
   check_inputs md env;
   List.fold_left
-    (fun env (o : Md_hom.output) ->
-      Buffer.env_add env (Buffer.create o.out_name o.out_ty o.out_shape))
+    (fun env (o : Md_hom.output) -> Buffer.env_add env (Buffer.of_dense o.out_name (store o)))
     env md.outputs
+
+let alloc_outputs md env =
+  adopt_outputs md env (fun o -> Dense.create o.Md_hom.out_ty o.Md_hom.out_shape)
 
 let mk_read env buf idx =
   match Buffer.env_find_opt env buf with

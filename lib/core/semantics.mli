@@ -25,6 +25,12 @@ val alloc_outputs : Md_hom.t -> Buffer.env -> Buffer.env
     buffers. Raises [Semantic_error] if an input buffer is missing or its
     shape/type disagrees with the representation. *)
 
+val adopt_outputs :
+  Md_hom.t -> Buffer.env -> (Md_hom.output -> Dense.t) -> Buffer.env
+(** {!alloc_outputs} with each output's tensor supplied by the caller and
+    bound as it is, without a copy: how a backend hands back a result it
+    computed into its own store. Checks the inputs the same way. *)
+
 val reference : Md_hom.t -> Buffer.env -> Buffer.env
 (** Evaluate by the definitional semantics; returns the environment extended
     with the computed outputs. Intended for small iteration spaces. *)

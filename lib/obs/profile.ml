@@ -68,16 +68,19 @@ let add_n ~digest ~path ~count seconds =
     atomic_update c.p_total (fun t -> t +. seconds)
   end
 
-let time ~digest ~path f =
+let timed ~digest ~paths f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let t0 = Clock.now_ns () in
     Fun.protect
       ~finally:(fun () ->
         let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
-        add ~digest ~path dt)
+        List.iter (fun path -> add ~digest ~path dt) paths)
       f
   end
+
+let time ~digest ~path f = timed ~digest ~paths:[ path ] f
+let time_level ~digest ~path f = timed ~digest ~paths:[ path; "exec" ] f
 
 type entry = { path : string; count : int; total_s : float }
 

@@ -4,6 +4,7 @@
     runtime reports samples addressed by a level's position in the plan
     tree (["L0"], ["L1"], … outermost-first, ["leaf"] for the point
     computation) or by backend phase (["phase:fastpath"],
+    ["phase:fastpath.bind"], ["phase:specializer.bind"],
     ["phase:specializer.compile"], ["phase:specializer.run"],
     ["phase:cc.build"], ["phase:cc.run"], ["phase:walker"]), plus an
     enclosing ["exec"] cell per run. Keys are plain strings so this
@@ -31,6 +32,11 @@ val time : digest:string -> path:string -> (unit -> 'a) -> 'a
 (** Run the thunk and attribute its wall time; exceptions still record
     the elapsed time. When disabled this is exactly [f ()] after one
     atomic load. *)
+
+val time_level : digest:string -> path:string -> (unit -> 'a) -> 'a
+(** {!time} for a segment of a run addressed by level path (a write-back,
+    a partial combine, a kernel call): the same seconds also accumulate
+    into the digest's ["exec"] cell, so level times keep summing to it. *)
 
 type entry = { path : string; count : int; total_s : float }
 

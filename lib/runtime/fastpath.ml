@@ -10,6 +10,7 @@ module Expr = Mdh_expr.Expr
 module Plan = Mdh_lowering.Plan
 module Trace = Mdh_obs.Trace
 module Metrics = Mdh_obs.Metrics
+module Profile = Mdh_obs.Profile
 
 let m_hits = Metrics.counter "runtime.kernels.fastpath_hits"
 let m_errors = Metrics.counter "runtime.kernels.fastpath_errors"
@@ -48,23 +49,21 @@ let f32_input (md : Md_hom.t) env name shape =
 let f32_output (o : Md_hom.output) shape =
   Scalar.equal_ty o.out_ty Scalar.Fp32 && Shape.equal o.out_shape shape
 
-let floats env name =
-  let d = Buffer.data (Buffer.env_find env name) in
-  Array.init (Dense.num_elements d) (fun i -> Scalar.to_float (Dense.get_linear d i))
+(* The kernel runs on the input's own store: binding copies nothing. *)
+let floats env name = Dense.floats (Buffer.data (Buffer.env_find env name))
 
-(* Write a flat kernel result into the (freshly allocated) output buffer,
-   rounding to single precision once per element — kernels accumulate in
-   double, so fast-path results are tolerance-equal, not bit-equal, to the
+(* Adopt the kernel's fresh result as the output store, rounded to single
+   precision once per element in place — kernels accumulate in double, so
+   fast-path results are tolerance-equal, not bit-equal, to the
    per-op-rounding interpreter. *)
 let commit md env (o : Md_hom.output) result =
-  let env = Semantics.alloc_outputs md env in
-  let out = Buffer.data (Buffer.env_find env o.out_name) in
-  Array.iteri (fun i v -> Dense.set_linear out i (Scalar.f32 v)) result;
-  env
+  Semantics.adopt_outputs md env (fun _ -> Dense.of_floats Scalar.Fp32 o.out_shape result)
 
+(* Every kernel takes two inputs: [compute] gets their stores. *)
 type matched = {
   kernel : string;
-  compute : parallel:bool -> float array;
+  inputs : string * string;
+  compute : parallel:bool -> float array -> float array -> float array;
   output : Md_hom.output;
 }
 
@@ -89,9 +88,9 @@ let match_dot pool (md : Md_hom.t) env =
       Some
         { kernel = "dot";
           output = o;
+          inputs = (x, y);
           compute =
-            (fun ~parallel ->
-              let xv = floats env x and yv = floats env y in
+            (fun ~parallel xv yv ->
               [| (if parallel then Kernels.dot_par pool xv yv else Kernels.dot_seq xv yv) |]) }
     | None -> None)
   | _ -> None
@@ -119,9 +118,9 @@ let match_matvec pool (md : Md_hom.t) env =
       Some
         { kernel = "matvec";
           output = o;
+          inputs = (mat, v);
           compute =
-            (fun ~parallel ->
-              let mv = floats env mat and vv = floats env v in
+            (fun ~parallel mv vv ->
               if parallel then Kernels.matvec_par pool ~m ~k mv vv
               else Kernels.matvec_seq ~m ~k mv vv) }
     | None -> None)
@@ -150,9 +149,9 @@ let match_matmul pool (md : Md_hom.t) env ~tile =
       Some
         { kernel = "matmul";
           output = o;
+          inputs = (a, b);
           compute =
-            (fun ~parallel ->
-              let av = floats env a and bv = floats env b in
+            (fun ~parallel av bv ->
               if parallel then Kernels.matmul_par pool ~tile ~m ~n ~k av bv
               else Kernels.matmul_tiled ~tile ~m ~n ~k av bv) }
     | None -> None)
@@ -176,7 +175,7 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
     in
     match matched with
     | None -> None
-    | Some { kernel; compute; output } ->
+    | Some { kernel; inputs = x, y; compute; output } ->
       let parallel =
         Pool.num_workers pool > 1
         && (Plan.distributed plan <> [] || Plan.tree plan <> None)
@@ -189,7 +188,16 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
           ~args:[ ("kernel", kernel); ("hom", md.Md_hom.hom_name) ]
           (fun () ->
             Mdh_fault.Fault.hit "kernel.run";
-            commit md env output (compute ~parallel))
+            let digest = if Profile.enabled () then Plan.digest plan else "" in
+            let xv, yv =
+              Profile.time ~digest ~path:"phase:fastpath.bind" (fun () ->
+                  (floats env x, floats env y))
+            in
+            let result =
+              Profile.time_level ~digest ~path:"kernel" (fun () -> compute ~parallel xv yv)
+            in
+            Profile.time_level ~digest ~path:"writeback" (fun () ->
+                commit md env output result))
       with
       | env' ->
         Metrics.incr m_hits;

@@ -12,6 +12,11 @@
     [runtime.kernels.fastpath_errors] and the dispatch returns [None] so
     the caller falls back to the generic walker.
 
+    Kernels read the inputs' own [float array] stores and their fresh
+    result is adopted as the output store (no copy either way); with the
+    profiler on, a run records [phase:fastpath.bind] and, inside its
+    [exec] cell, [kernel] and [writeback].
+
     Kernels accumulate in double precision and round to fp32 once per
     element, so fast-path results agree with the per-op-rounding
     interpreter to float tolerance, not bit-exactly; [Exec.run

@@ -1,17 +1,19 @@
-let dot_seq x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Kernels.dot: length mismatch";
+let dot_range x y lo hi =
   let acc = ref 0.0 in
-  for i = 0 to n - 1 do
+  for i = lo to hi - 1 do
     acc := !acc +. (x.(i) *. y.(i))
   done;
   !acc
 
-let dot_par pool x y =
+let dot_length x y =
   let n = Array.length x in
   if Array.length y <> n then invalid_arg "Kernels.dot: length mismatch";
-  Pool.parallel_reduce pool ~lo:0 ~hi:n
-    ~map:(fun i -> x.(i) *. y.(i))
+  n
+
+let dot_seq x y = dot_range x y 0 (dot_length x y)
+
+let dot_par pool x y =
+  Pool.parallel_reduce pool ~lo:0 ~hi:(dot_length x y) ~chunk:(dot_range x y)
     ~combine:( +. ) 0.0
 
 let matvec_row ~k m v r =

@@ -12,6 +12,9 @@
 
 val dot_seq : float array -> float array -> float
 val dot_par : Pool.t -> float array -> float array -> float
+(** One {!Pool.parallel_reduce} chunk per pool grain, each an unboxed
+    sequential dot over its range; the partials are summed in range
+    order. *)
 
 val matvec_seq : m:int -> k:int -> float array -> float array -> float array
 (** Row-major [m x k] matrix times vector. *)

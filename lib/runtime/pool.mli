@@ -53,12 +53,15 @@ val parallel_for : t -> ?grain:int -> lo:int -> hi:int -> (int -> unit) -> unit
     [Invalid_argument] (it would deadlock the fixed worker set). *)
 
 val parallel_reduce :
-  t -> ?grain:int -> lo:int -> hi:int -> map:(int -> 'a) ->
+  t -> ?grain:int -> lo:int -> hi:int -> chunk:(int -> int -> 'a) ->
   combine:('a -> 'a -> 'a) -> 'a -> 'a
-(** Tree-style reduction: map each index, combine within chunks left to
-    right, then combine chunk partials in index order — so an associative
-    (not necessarily commutative) [combine] gives the sequential result.
-    The final fold starts from the given seed. *)
+(** Chunked reduction: [chunk start stop] reduces the non-empty index
+    range [\[start, stop)] in one loop of its own (one monomorphic loop,
+    so a float accumulator stays unboxed until the chunk returns); the
+    chunk partials are then combined in index order, starting from the
+    seed — so an associative (not necessarily commutative) [combine]
+    gives the sequential result. Chunks hold [grain] indices (default as
+    in {!parallel_for}). *)
 
 val scan_inclusive : t -> ('a -> 'a -> 'a) -> 'a array -> 'a array
 (** Two-phase parallel inclusive prefix scan (associative operator):

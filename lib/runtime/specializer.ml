@@ -642,16 +642,6 @@ let flush_profile c ~wall tot cnt =
   else Profile.add ~digest ~path:"leaf" residue;
   Profile.add ~digest ~path:"exec" wall
 
-(* Attribute a coordinator-side segment (partial combine, post-scan,
-   write-back) to a level path and to the enclosing exec cell. *)
-let profile_segment c path f =
-  let t0 = Clock.now_ns () in
-  let r = f () in
-  let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
-  Profile.add ~digest:c.digest ~path dt;
-  Profile.add ~digest:c.digest ~path:"exec" dt;
-  r
-
 let decode_dist dist point lin =
   let rest = ref lin in
   for d = Array.length dist - 1 downto 0 do
@@ -728,9 +718,7 @@ let exec_output c pool bufs op =
           done)
         partials
     in
-    if profiling then
-      profile_segment c (level_path c.tree_level) combine_partials
-    else combine_partials ()
+    Profile.time_level ~digest:c.digest ~path:(level_path c.tree_level) combine_partials
   | true, None ->
     (* distributed cc dims: disjoint accumulator slabs, shared array *)
     let ranges =
@@ -802,27 +790,26 @@ let exec_output c pool bufs op =
               acc.(lin) <- op acc.(lin - stride) acc.(lin)
           done
         in
-        if profiling then
-          let path =
-            if c.scan_levels.(k) >= 0 then level_path c.scan_levels.(k)
-            else "scan"
-          in
-          profile_segment c path pass
-        else pass ()
+        let lvl = c.scan_levels.(k) in
+        let path = if lvl >= 0 then level_path lvl else "scan" in
+        Profile.time_level ~digest:c.digest ~path pass
       end)
     c.scans;
   acc
 
-let write_back c env op acc =
-  let out = Buffer.data (Buffer.env_find env op.out.Md_hom.out_name) in
-  if op.direct_write then
-    Array.iteri (fun i v -> Dense.set_linear out i (Scalar.f32 v)) acc
+(* The output tensor of [op]: a direct write adopts the fresh accumulator
+   as the store, rounded to fp32 in place; otherwise it is scattered
+   through the out view into zeros. *)
+let write_back c op acc =
+  let o = op.out in
+  if op.direct_write then Dense.of_floats Scalar.Fp32 o.Md_hom.out_shape acc
   else begin
+    let out = Dense.create Scalar.Fp32 o.Md_hom.out_shape in
     let lin = ref 0 in
     Shape.iter c.acc_shape (fun pt ->
-        Dense.set out (Index_fn.apply op.out.Md_hom.out_access.fn pt)
-          (Scalar.f32 acc.(!lin));
-        incr lin)
+        Dense.set out (Index_fn.apply o.Md_hom.out_access.fn pt) (Scalar.f32 acc.(!lin));
+        incr lin);
+    out
   end
 
 (* --- the digest-keyed compile cache ----------------------------------- *)
@@ -871,6 +858,7 @@ let clear () = Memo.clear cache
 
 (* --- dispatch entry point --------------------------------------------- *)
 
+(* The compiled closure reads each input's own store: nothing is copied. *)
 let bind (md : Md_hom.t) env =
   try
     Some
@@ -881,9 +869,7 @@ let bind (md : Md_hom.t) env =
               | Some b
                 when Scalar.equal_ty (Buffer.ty b) Scalar.Fp32
                      && Shape.equal (Buffer.shape b) i.inp_shape ->
-                let d = Buffer.data b in
-                Array.init (Dense.num_elements d) (fun k ->
-                    Scalar.to_float (Dense.get_linear d k))
+                Dense.floats (Buffer.data b)
               | _ -> raise Exit)
             md.inputs))
   with Exit -> None
@@ -894,22 +880,27 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
     match compiled plan md with
     | Error _ -> None
     | Ok c -> (
-      match bind md env with
+      match
+        Profile.time ~digest:c.digest ~path:"phase:specializer.bind" (fun () -> bind md env)
+      with
       | None -> None
       | Some bufs ->
         Trace.with_span ~cat:"runtime" "exec.specialized"
           ~args:[ ("hom", md.Md_hom.hom_name); ("digest", Plan.digest plan) ]
           (fun () ->
             let t0 = Clock.now_ns () in
-            let env = Semantics.alloc_outputs md env in
-            List.iter
-              (fun op ->
-                let acc = exec_output c pool bufs op in
-                if Profile.enabled () then
-                  profile_segment c "writeback" (fun () ->
-                      write_back c env op acc)
-                else write_back c env op acc)
-              c.outs;
+            let outs =
+              List.map
+                (fun op ->
+                  let acc = exec_output c pool bufs op in
+                  ( op.out.Md_hom.out_name,
+                    Profile.time_level ~digest:c.digest ~path:"writeback" (fun () ->
+                        write_back c op acc) ))
+                c.outs
+            in
+            let env =
+              Semantics.adopt_outputs md env (fun o -> List.assoc o.Md_hom.out_name outs)
+            in
             let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
             Metrics.observe h_run dt;
             Profile.add ~digest:c.digest ~path:"phase:specializer.run" dt;

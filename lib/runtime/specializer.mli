@@ -3,10 +3,12 @@
 
     [compile] turns any fp32 [Plan.t] into a closure once — the loop nest
     is driven by the plan's Distribute/Tile/Seq/Accumulate/Scan levels,
-    buffer reads go through precomputed row-major strides into flat
-    [float array]s, and the point expression is staged into unboxed
-    thunks — so executing a plan costs no per-point tensor boxing or
-    environment lookups. Compiled plans are memoized process-wide under
+    buffer reads go through precomputed row-major strides into the
+    inputs' own [float array] stores ({!bind}, no copy), the point
+    expression is staged into unboxed thunks, and a direct-write output
+    adopts its accumulator as its store — so executing a plan costs no
+    per-point tensor boxing, environment lookups or buffer copies.
+    Compiled plans are memoized process-wide under
     {!Mdh_lowering.Plan.digest} (plus a fingerprint of the computation),
     with cache traffic on [runtime.specializer.hits|misses|compiles].
 
@@ -43,6 +45,12 @@ val try_run :
     plan's Distribute/Tree_reduce levels when the pool has more than one
     worker. [None] means the generic walker should run — unsupported
     computation, zero-extent iteration space, or mismatched buffers. *)
+
+val bind : Mdh_core.Md_hom.t -> Mdh_tensor.Buffer.env -> float array array option
+(** The input stores {!try_run} hands the compiled closure, in
+    [md.inputs] order: each is the caller's own {!Mdh_tensor.Dense.floats},
+    not a copy. [None] when an input is missing or is not [fp32] of the
+    declared shape. *)
 
 type stats = { hits : int; misses : int; compiles : int }
 

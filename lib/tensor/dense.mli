@@ -1,8 +1,13 @@
-(** Dense multi-dimensional tensors of dynamically-typed scalar values.
+(** Dense multi-dimensional tensors: one flat, typed store per tensor.
 
-    This is the generic value store used by the reference semantics, the
-    directive interpreter and the plan simulator. Wall-clock benchmarks use
-    the specialised float kernels in [Mdh_runtime] instead. *)
+    The element type lives on the tensor and picks the store: [fp32] and
+    [fp64] are a flat [float array] (an [fp32] element is the double its
+    [F32] value carries), [int32] and [int64] a [Bigarray], [bool] and
+    [char] a [Bytes], and records a boxed [Scalar.value array].
+    {!get}/{!set} speak [Scalar.value] for the reference semantics, the
+    box walker and the analyzer; the fast backends in [Mdh_runtime] run on
+    {!floats} in place and hand their results back through {!of_floats},
+    so binding a buffer or adopting a result copies nothing. *)
 
 type t
 
@@ -23,6 +28,20 @@ val set : t -> int array -> Scalar.value -> unit
 
 val get_linear : t -> int -> Scalar.value
 val set_linear : t -> int -> Scalar.value -> unit
+(** [set] and [set_linear] raise [Invalid_argument] when the value's type
+    does not fit the store (an [F64] in an [fp32] tensor, say); a record
+    tensor takes any value. *)
+
+val floats : t -> float array
+(** The store of an [fp32] or [fp64] tensor itself, not a copy: writes to
+    it are writes to the tensor. Raises [Invalid_argument] on other
+    types. *)
+
+val of_floats : Scalar.ty -> Shape.t -> float array -> t
+(** [of_floats ty shape a] adopts [a] as the store of a new [fp32] or
+    [fp64] tensor, without copying. For [fp32] each element is first
+    rounded to single precision in place, as {!Scalar.f32} rounds. Raises [Invalid_argument] on other
+    types or when the length does not match the shape. *)
 
 val copy : t -> t
 

@@ -5,9 +5,14 @@
      reference semantics  ==  in-place exec  ==  tiled evaluation
        ==  schedule-driven simulation  ==  parallel host execution
 
-   and, where supported, kernel generation must succeed. This is the
-   strongest guarantee the reproduction offers: any schedule and any
-   executor agree with the definitional MDH semantics on arbitrary
+   and, where supported, kernel generation must succeed. The same
+   generator over fp32 buffers holding small integers — where every
+   accumulation order is exact — drives the fast backends, bit for bit:
+
+     reference  ==  box walker  ==  specializer  ==  Fastpath (on a match)
+
+   This is the strongest guarantee the reproduction offers: any schedule
+   and any executor agree with the definitional MDH semantics on arbitrary
    computations, not just the catalogue. *)
 
 module Scalar = Mdh_tensor.Scalar
@@ -33,19 +38,19 @@ type sample = {
 
 let dim_names = [| "i"; "j"; "k" |]
 
-let gen_sample rng =
+(* Samples of element type [ty] (int32 or fp32); the random draws do not
+   depend on it, so a seed gives the same directive shape in both. *)
+let gen_sample ty rng =
   let rank = Rng.int_in rng 1 3 in
   let extents = Array.init rank (fun _ -> Rng.int_in rng 1 5) in
   (* combine ops: all pw dims share one commutative builtin; ps uses add *)
-  let pw_fn =
-    if Rng.bool rng then Combine.add Scalar.Int32 else Combine.max Scalar.Int32
-  in
+  let pw_fn = if Rng.bool rng then Combine.add ty else Combine.max ty in
   let ops =
     Array.init rank (fun _ ->
         match Rng.int rng 4 with
         | 0 | 1 -> Combine.cc
         | 2 -> Combine.pw pw_fn
-        | _ -> Combine.ps (Combine.add Scalar.Int32))
+        | _ -> Combine.ps (Combine.add ty))
   in
   (* at least the fuzz stays in exec's supported territory: mixing ps and
      pw is legal for the evaluators, so keep it *)
@@ -80,12 +85,19 @@ let gen_sample rng =
         List.init (Rng.int_in rng 1 2) (fun _ -> Expr.read name (access rng)))
       input_names
   in
-  (* value: fold the reads with + and *, plus a constant *)
+  (* value: fold the reads with + and *, plus a constant; an fp32 fold
+     drops a zero constant, so that a bare [x * y] can reach Fastpath *)
+  let c = Rng.int_in rng (-3) 3 in
+  let start, reads =
+    match reads with
+    | r :: rest when c = 0 && Scalar.equal_ty ty Scalar.Fp32 -> (r, rest)
+    | _ when Scalar.equal_ty ty Scalar.Fp32 -> (Expr.f32 (float c), reads)
+    | _ -> (Expr.int c, reads)
+  in
   let value =
     List.fold_left
       (fun acc r -> if Rng.bool rng then Expr.(acc + r) else Expr.(acc * r))
-      (Expr.int (Rng.int_in rng (-3) 3))
-      reads
+      start reads
   in
   let nest =
     List.fold_right
@@ -95,21 +107,25 @@ let gen_sample rng =
   in
   let dir =
     D.make ~name:"fuzz"
-      ~out:[ D.buffer "out" Scalar.Int32 ]
-      ~inp:(List.map (fun n -> D.buffer n Scalar.Int32) input_names)
+      ~out:[ D.buffer "out" ty ]
+      ~inp:(List.map (fun n -> D.buffer n ty) input_names)
       ~combine_ops:(Array.to_list ops) nest
   in
   let tile_sizes = Array.init rank (fun d -> Rng.int_in rng 1 (extents.(d) + 2)) in
   { dir; extents; input_names; tile_sizes; seed = Rng.int rng 1_000_000 }
 
+(* Inputs in [-10, 10]: at most 4 reads a point and 125 points keep every
+   fp32 partial below 2^24, so fp32 arithmetic on them is exact. *)
 let gen_env sample md =
   let rng = Rng.create sample.seed in
   Buffer.env_of_list
     (List.map
        (fun (i : Md_hom.input) ->
+         let ty = i.Md_hom.inp_ty in
          Buffer.of_dense i.Md_hom.inp_name
-           (Dense.of_fn Scalar.Int32 i.Md_hom.inp_shape (fun _ ->
-                Scalar.i32 (Rng.int_in rng (-10) 10))))
+           (Dense.of_fn ty i.Md_hom.inp_shape (fun _ ->
+                let v = Rng.int_in rng (-10) 10 in
+                if Scalar.equal_ty ty Scalar.Fp32 then Scalar.f32 (float v) else Scalar.i32 v)))
        md.Md_hom.inputs)
 
 (* the generator can produce invalid directives (e.g. an out view that
@@ -122,10 +138,16 @@ let transform sample =
 
 let out_tensor env = Buffer.data (Buffer.env_find env "out")
 
-let qcheck_sample =
+let qcheck_sample_of ty =
   QCheck2.Gen.map
-    (fun seed -> (seed, gen_sample (Rng.create seed)))
+    (fun seed -> (seed, gen_sample ty (Rng.create seed)))
     QCheck2.Gen.(int_range 0 1_000_000_000)
+
+let qcheck_sample = qcheck_sample_of Scalar.Int32
+
+let parallel_schedule md =
+  { (Mdh_lowering.Schedule.sequential md) with
+    Mdh_lowering.Schedule.parallel_dims = Mdh_lowering.Lower.parallelisable_dims md }
 
 let prop_cross_evaluator =
   QCheck2.Test.make ~name:"fuzz: reference == exec == tiled" ~count:400 qcheck_sample
@@ -170,12 +192,7 @@ let prop_parallel_exec_matches =
         let env = gen_env sample md in
         let reference = out_tensor (Semantics.reference md env) in
         Mdh_runtime.Pool.with_pool ~num_domains:2 (fun pool ->
-            let sched =
-              { (Mdh_lowering.Schedule.sequential md) with
-                Mdh_lowering.Schedule.parallel_dims =
-                  Mdh_lowering.Lower.parallelisable_dims md }
-            in
-            match Mdh_runtime.Exec.run pool md sched env with
+            match Mdh_runtime.Exec.run pool md (parallel_schedule md) env with
             | Error _ -> false
             | Ok got -> Dense.equal reference (out_tensor got)))
 
@@ -245,6 +262,72 @@ let prop_analyzer_agrees_with_validate =
       | Error e, Some d ->
         String.equal (Mdh_directive.Validate.error_code e.Mdh_directive.Validate.kind)
           d.Diag.code)
+
+(* The fast backends on fp32: the walker and the specializer must take
+   every sample (all operators are builtins), Fastpath the ones a kernel
+   matches — every one when [kernel] is set; all must agree with the
+   reference bit for bit. *)
+let fp32_backends_agree ~kernel sample =
+  match transform sample with
+  | None -> not kernel
+  | Some md ->
+    let module Rt = Mdh_runtime in
+    let env = gen_env sample md in
+    let reference = out_tensor (Semantics.reference md env) in
+    let same = function Some got -> Dense.equal reference (out_tensor got) | None -> false in
+    Rt.Pool.with_pool ~num_domains:1 (fun pool ->
+        let dev = Rt.Exec.host_device pool in
+        match Mdh_lowering.Plan_cache.build md dev (parallel_schedule md) with
+        | Error _ -> false
+        | Ok plan ->
+          same
+            (Result.to_option
+               (Rt.Exec.run_with_plan ~fastpath:false ~specialize:false pool plan md env))
+          && same (Rt.Specializer.try_run pool plan md env)
+          &&
+          match Rt.Fastpath.try_run pool plan md env with
+          | None -> not kernel
+          | got -> same got)
+
+let prop_fp32_backends =
+  QCheck2.Test.make ~name:"fuzz: fp32 reference == walker == specializer == fastpath"
+    ~count:150 (qcheck_sample_of Scalar.Fp32)
+    (fun (_, sample) -> fp32_backends_agree ~kernel:false sample)
+
+(* Random samples almost never take a kernel's exact shape, so this family
+   builds them: dot, matvec and matmul at random extents, with the product's
+   operands in either order. *)
+let gen_kernel_sample rng =
+  let e () = Rng.int_in rng 1 6 in
+  let mul x y = if Rng.bool rng then Expr.(x * y) else Expr.(y * x) in
+  let read b ds = Expr.read b (List.map Expr.idx ds) in
+  let fadd = Combine.pw (Combine.add Scalar.Fp32) in
+  let dims, extents, ops, out, value =
+    match Rng.int rng 3 with
+    | 0 ->
+      ([ "k" ], [| e () |], [ fadd ], [ Expr.int 0 ], mul (read "in0" [ "k" ]) (read "in1" [ "k" ]))
+    | 1 ->
+      ( [ "i"; "k" ], [| e (); e () |], [ Combine.cc; fadd ], [ Expr.idx "i" ],
+        mul (read "in0" [ "i"; "k" ]) (read "in1" [ "k" ]) )
+    | _ ->
+      ( [ "i"; "j"; "k" ], [| e (); e (); e () |], [ Combine.cc; Combine.cc; fadd ],
+        [ Expr.idx "i"; Expr.idx "j" ],
+        mul (read "in0" [ "i"; "k" ]) (read "in1" [ "k"; "j" ]) )
+  in
+  let nest =
+    List.fold_right2 D.for_ dims (Array.to_list extents) (D.body [ D.assign "out" out value ])
+  in
+  let input_names = [ "in0"; "in1" ] in
+  { dir =
+      D.make ~name:"kernel_fuzz" ~out:[ D.buffer "out" Scalar.Fp32 ]
+        ~inp:(List.map (fun n -> D.buffer n Scalar.Fp32) input_names)
+        ~combine_ops:ops nest;
+    extents; input_names; tile_sizes = extents; seed = Rng.int rng 1_000_000 }
+
+let prop_fp32_kernels =
+  QCheck2.Test.make ~name:"fuzz: fp32 kernel shapes agree on every backend" ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000_000)
+    (fun seed -> fp32_backends_agree ~kernel:true (gen_kernel_sample (Rng.create seed)))
 
 (* --- record-typed computations with a custom combine operator (the PRL
    shape): two int32 fields, reduced with an associative lexicographic-max
@@ -336,6 +419,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_cross_evaluator;
       QCheck_alcotest.to_alcotest prop_simulation_matches;
       QCheck_alcotest.to_alcotest prop_parallel_exec_matches;
+      QCheck_alcotest.to_alcotest prop_fp32_backends;
+      QCheck_alcotest.to_alcotest prop_fp32_kernels;
       QCheck_alcotest.to_alcotest prop_tuned_schedule_still_correct;
       QCheck_alcotest.to_alcotest prop_codegen_total;
       QCheck_alcotest.to_alcotest prop_record_cross_evaluator;

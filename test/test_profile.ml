@@ -40,7 +40,7 @@ let find name =
    deterministic per-device lowering default pinned to the pool's layer *)
 let host_schedule md = { (Lower.mdh_default md cpu) with Schedule.used_layers = [ 0 ] }
 
-let run_profiled pool (w : W.t) =
+let run_profiled ?(fastpath = false) pool (w : W.t) =
   let md = W.to_md_hom w w.W.test_params in
   let env = w.W.gen w.W.test_params ~seed:5 in
   let sched = host_schedule md in
@@ -49,7 +49,7 @@ let run_profiled pool (w : W.t) =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  match Exec.run ~fastpath:false pool md sched env with
+  match Exec.run ~fastpath pool md sched env with
   | Ok env' -> (plan, env')
   | Error e -> Alcotest.fail e
 
@@ -82,13 +82,20 @@ let test_catalogue_bit_identity () =
 
 (* the tree view's invariant: level self times (everything that is not a
    phase) sum to the enclosing exec cell — the telescoping is exact by
-   construction, so 5% headroom only covers float summation order *)
-let sum_matches_exec name =
+   construction, so 5% headroom only covers float summation order. The
+   [cells] must be among the recorded ones: phases (bind) outside the
+   exec cell, levels (kernel, writeback) inside it. *)
+let sum_matches_exec ?fastpath ~cells name =
   Pool.with_pool (fun pool ->
       with_profiling (fun () ->
-          let plan, _ = run_profiled pool (find name) in
+          let plan, _ = run_profiled ?fastpath pool (find name) in
           let entries = Profile.snapshot (Plan.digest plan) in
           check Alcotest.bool (name ^ " has cells") true (entries <> []);
+          List.iter
+            (fun cell ->
+              check Alcotest.bool (name ^ " records " ^ cell) true
+                (List.exists (fun (e : Profile.entry) -> e.Profile.path = cell) entries))
+            cells;
           let is_phase p = String.length p > 6 && String.sub p 0 6 = "phase:" in
           let exec = ref 0.0 and levels = ref 0.0 in
           List.iter
@@ -103,8 +110,16 @@ let sum_matches_exec name =
             Alcotest.failf "%s: level sum %.9f vs exec %.9f (%.1f%% off)" name
               !levels !exec (100.0 *. err)))
 
-let test_sum_specializer () = sum_matches_exec "matmul"
-let test_sum_walker () = sum_matches_exec "prl"
+let test_sum_specializer () =
+  sum_matches_exec ~cells:[ "phase:specializer.bind"; "phase:specializer.run"; "writeback" ]
+    "matmul"
+
+let test_sum_fastpath () =
+  sum_matches_exec ~fastpath:true
+    ~cells:[ "phase:fastpath"; "phase:fastpath.bind"; "kernel"; "writeback" ]
+    "matmul"
+
+let test_sum_walker () = sum_matches_exec ~cells:[ "phase:walker" ] "prl"
 
 let test_digest_accumulation () =
   Pool.with_pool (fun pool ->
@@ -181,6 +196,7 @@ let suite =
     [ tc "disabled mode creates no cells" `Quick test_disabled_no_cells;
       tc "catalogue bit-identity off vs on" `Slow test_catalogue_bit_identity;
       tc "level sum = exec cell (specializer)" `Quick test_sum_specializer;
+      tc "level sum = exec cell (fastpath)" `Quick test_sum_fastpath;
       tc "level sum = exec cell (walker)" `Quick test_sum_walker;
       tc "digest-keyed accumulation" `Quick test_digest_accumulation;
       tc "add/add_n/time primitives" `Quick test_add_and_time_primitives;

@@ -37,7 +37,12 @@ let test_parallel_reduce_sum () =
   with_pool (fun pool ->
       let n = 1_000_000 in
       let total =
-        Pool.parallel_reduce pool ~lo:0 ~hi:n ~map:(fun i -> i) ~combine:( + ) 0
+        Pool.parallel_reduce pool ~lo:0 ~hi:n
+          ~chunk:(fun start stop ->
+            let acc = ref 0 in
+            for i = start to stop - 1 do acc := !acc + i done;
+            !acc)
+          ~combine:( + ) 0
       in
       check Alcotest.int "gauss" (n * (n - 1) / 2) total)
 
@@ -48,7 +53,9 @@ let test_parallel_reduce_ordered () =
       let n = 500 in
       let s =
         Pool.parallel_reduce pool ~grain:7 ~lo:0 ~hi:n
-          ~map:(fun i -> string_of_int (i mod 10))
+          ~chunk:(fun start stop ->
+            String.concat ""
+              (List.init (stop - start) (fun k -> string_of_int ((start + k) mod 10))))
           ~combine:( ^ ) ""
       in
       let expected = String.concat "" (List.init n (fun i -> string_of_int (i mod 10))) in

@@ -280,6 +280,152 @@ let test_dense_copy_isolated () =
   Dense.set b [| 0 |] (Scalar.i32 9);
   check Test_util.scalar_value "original intact" (Scalar.i32 0) (Dense.get a [| 0 |])
 
+(* --- Typed storage --- *)
+
+let bits x = Int64.bits_of_float x
+
+let point_ty = Scalar.Record [ ("x", Scalar.Fp32); ("id", Scalar.Int32) ]
+let point x id = Scalar.R [ ("x", Scalar.F32 x); ("id", Scalar.i32 id) ]
+
+(* Values at the edges of each type, one tensor per type. *)
+let samples =
+  [ (Scalar.Fp32, [ Scalar.f32 1.1; F32 (-0.0); F32 infinity; Scalar.f32 (-3.5e38) ]);
+    (Fp64, [ F64 0.1; F64 (-0.0); F64 nan; F64 Float.max_float ]);
+    (Int32, [ I32 Int32.max_int; I32 Int32.min_int; I32 0l; I32 (-7l) ]);
+    (Int64, [ I64 Int64.max_int; I64 Int64.min_int; I64 0L; I64 (-7L) ]);
+    (Bool, [ B true; B false; B true; B true ]);
+    (Char, [ C 'a'; C '\000'; C '\255'; C '\n' ]);
+    (point_ty, [ point 1.5 1; point (-2.0) 2; point 0.0 3; point 8.0 4 ]) ]
+
+let test_dense_roundtrip_every_type () =
+  List.iter
+    (fun (ty, values) ->
+      let name = Scalar.ty_to_string ty in
+      let d = Dense.create ty [| 2; 2 |] in
+      check Test_util.scalar_value (name ^ " zero") (Scalar.zero ty) (Dense.get d [| 1; 1 |]);
+      List.iteri (fun i v -> Dense.set d [| i / 2; i mod 2 |] v) values;
+      List.iteri
+        (fun i v ->
+          check Test_util.scalar_value (name ^ " get") v (Dense.get d [| i / 2; i mod 2 |]);
+          check Test_util.scalar_value (name ^ " get_linear") v (Dense.get_linear d i))
+        values;
+      let e = Dense.copy d in
+      Dense.set_linear e 0 (List.nth values 2);
+      check Test_util.scalar_value (name ^ " copy is isolated") (List.hd values)
+        (Dense.get_linear d 0);
+      Dense.fill e (List.hd values);
+      check Test_util.scalar_value (name ^ " fill") (List.hd values) (Dense.get_linear e 3);
+      check Alcotest.bool (name ^ " equal") true (Dense.equal d (Dense.copy d)))
+    samples
+
+(* An F32 whose double is not fp32-rounded is stored as given: the store
+   keeps the double, it does not round on the way in. *)
+let test_dense_f32_exact_bits () =
+  let d = Dense.create Scalar.Fp32 [| 3 |] in
+  List.iteri
+    (fun i x ->
+      Dense.set_linear d i (Scalar.F32 x);
+      match Dense.get_linear d i with
+      | Scalar.F32 y -> check Alcotest.int64 "same bits" (bits x) (bits y)
+      | v -> Alcotest.failf "got %s" (Scalar.value_to_string v))
+    [ 1.1; -0.0; 0.1 +. 0.2 ]
+
+let test_dense_set_type_mismatch () =
+  let d = Dense.create Scalar.Fp32 [| 2 |] in
+  Alcotest.check_raises "f64 in fp32"
+    (Invalid_argument "Dense.set: 1 in a fp32 tensor") (fun () ->
+      Dense.set_linear d 0 (Scalar.F64 1.0));
+  Alcotest.check_raises "floats of int32"
+    (Invalid_argument "Dense.floats: int32 tensor") (fun () ->
+      ignore (Dense.floats (Dense.create Scalar.Int32 [| 2 |])))
+
+let test_dense_records_boxed () =
+  let a = Dense.of_fn point_ty [| 3 |] (fun i -> point (float i.(0)) i.(0)) in
+  let b = Dense.of_fn point_ty [| 3 |] (fun i -> point 10.0 (10 * i.(0))) in
+  let larger =
+    Dense.map2
+      (fun u v ->
+        if Scalar.to_float (Scalar.field u "x") >= Scalar.to_float (Scalar.field v "x")
+        then u else v)
+      a b
+  in
+  check Test_util.scalar_value "map2 keeps whole records" (point 10.0 20)
+    (Dense.get larger [| 2 |]);
+  let s = Dense.slice a ~dim:0 ~lo:1 ~len:2 in
+  check Test_util.scalar_value "slice" (point 2.0 2) (Dense.get s [| 1 |]);
+  let c = Dense.concat ~dim:0 s a in
+  check Test_util.scalar_value "concat" (point 0.0 0) (Dense.get c [| 2 |]);
+  check Alcotest.bool "approx_equal on records" true
+    (Dense.approx_equal a (Dense.map2 (fun u _ -> u) a b));
+  check Alcotest.bool "records differ" false (Dense.equal a b)
+
+let test_dense_float_fast_paths () =
+  let a = Dense.of_fn Scalar.Fp32 [| 4 |] (fun i -> Scalar.f32 (float i.(0))) in
+  let b = Dense.map2 Scalar.add a a in
+  check Test_util.scalar_value "map2" (Scalar.f32 6.0) (Dense.get_linear b 3);
+  check Alcotest.bool "approx within tolerance" true
+    (Dense.approx_equal ~rel:1e-3 a
+       (Dense.map2 (fun x _ -> Scalar.f32 (Scalar.to_float x *. 1.0001)) a a));
+  check Alcotest.bool "approx outside tolerance" false (Dense.approx_equal a b);
+  let f64 = Dense.of_fn Scalar.Fp64 [| 4 |] (fun i -> Scalar.F64 (float i.(0))) in
+  check Alcotest.bool "fp32 never equals fp64" false (Dense.equal a f64)
+
+let test_dense_zero_copy () =
+  let d = Dense.create Scalar.Fp32 [| 4 |] in
+  check Alcotest.bool "floats is the store" true (Dense.floats d == Dense.floats d);
+  Dense.set_linear d 1 (Scalar.f32 2.5);
+  check (Alcotest.float 0.0) "writes are seen" 2.5 (Dense.floats d).(1);
+  let a = [| 1.1; 2.0 |] in
+  let e = Dense.of_floats Scalar.Fp32 [| 2 |] a in
+  check Alcotest.bool "of_floats adopts" true (Dense.floats e == a);
+  check Alcotest.int64 "adopted fp32 is rounded in place" (bits (Scalar.round_f32 1.1))
+    (bits a.(0));
+  let w = Option.get (Mdh_workloads.Catalog.find "dot") in
+  let module W = Mdh_workloads.Workload in
+  let md = W.to_md_hom w w.W.test_params in
+  let env = w.W.gen w.W.test_params ~seed:4 in
+  match Mdh_runtime.Specializer.bind md env with
+  | None -> Alcotest.fail "dot inputs did not bind"
+  | Some bufs ->
+    List.iteri
+      (fun k (i : Mdh_core.Md_hom.input) ->
+        check Alcotest.bool (i.inp_name ^ " bound in place") true
+          (bufs.(k) == Dense.floats (Buffer.data (Buffer.env_find env i.inp_name))))
+      md.inputs
+
+(* Backends run on the caller's stores, and a caller may reuse one input
+   env across requests: no backend may write to an input. The compiled-C
+   backend is left out: it only ever serialises inputs to files. *)
+let test_catalogue_inputs_untouched () =
+  let module W = Mdh_workloads.Workload in
+  let module Rt = Mdh_runtime in
+  Rt.Pool.with_pool ~num_domains:1 (fun pool ->
+      List.iter
+        (fun (w : W.t) ->
+          let md = W.to_md_hom w w.W.test_params in
+          let env = w.W.gen w.W.test_params ~seed:9 in
+          let data (i : Mdh_core.Md_hom.input) = Buffer.data (Buffer.env_find env i.inp_name) in
+          let before = List.map (fun i -> Dense.copy (data i)) md.inputs in
+          let sched =
+            { (Mdh_lowering.Schedule.sequential md) with
+              Mdh_lowering.Schedule.parallel_dims = Mdh_lowering.Lower.parallelisable_dims md }
+          in
+          (match Mdh_lowering.Plan_cache.build md (Rt.Exec.host_device pool) sched with
+          | Error e -> Alcotest.fail e
+          | Ok plan ->
+            ignore (Rt.Fastpath.try_run pool plan md env);
+            ignore (Rt.Specializer.try_run pool plan md env);
+            ignore (Rt.Exec.run_with_plan ~fastpath:false ~specialize:false pool plan md env);
+            ignore (Mdh_core.Semantics.exec md env));
+          List.iter2
+            (fun (i : Mdh_core.Md_hom.input) d ->
+              check Alcotest.bool
+                (String.lowercase_ascii w.W.wl_name ^ ": " ^ i.inp_name ^ " unchanged")
+                true
+                (Dense.equal d (data i)))
+            md.inputs before)
+        Mdh_workloads.Catalog.all)
+
 (* --- Buffer --- *)
 
 let test_buffer_env () =
@@ -343,6 +489,13 @@ let suite =
       tc "dense reduce" `Quick test_dense_reduce;
       tc "dense map2" `Quick test_dense_map2;
       tc "dense copy isolated" `Quick test_dense_copy_isolated;
+      tc "dense round-trip every type" `Quick test_dense_roundtrip_every_type;
+      tc "dense f32 keeps exact bits" `Quick test_dense_f32_exact_bits;
+      tc "dense set type mismatch" `Quick test_dense_set_type_mismatch;
+      tc "dense records stay boxed" `Quick test_dense_records_boxed;
+      tc "dense float fast paths" `Quick test_dense_float_fast_paths;
+      tc "dense zero-copy bind" `Quick test_dense_zero_copy;
+      tc "dense catalogue inputs untouched" `Slow test_catalogue_inputs_untouched;
       tc "buffer env" `Quick test_buffer_env;
       tc "buffer env duplicate" `Quick test_buffer_env_duplicate;
       tc "buffer size bytes" `Quick test_buffer_size_bytes ] )
