@@ -60,43 +60,6 @@ let run_seq md env =
 
 let default_chunks_per_worker = 2
 
-(* [lo, lo+extent) cut into at most [pieces] equal chunks (the last may be
-   short); empty chunks are dropped. *)
-let split_range ~extent ~pieces =
-  let n = max 1 (min extent pieces) in
-  let chunk = (extent + n - 1) / n in
-  List.init n (fun c -> (c * chunk, min chunk (extent - (c * chunk))))
-  |> List.filter (fun (_, sz) -> sz > 0)
-
-(* Spend the chunk budget on the plan's parallel levels: distributed (cc)
-   dimensions first, in dimension order, then the tree-reduce dimension
-   with whatever budget remains. *)
-let decompose plan ~target =
-  let remaining = ref (max 1 target) in
-  let cc =
-    List.map
-      (fun (d, extent) ->
-        let pieces = max 1 (min extent !remaining) in
-        remaining := max 1 (!remaining / pieces);
-        (d, split_range ~extent ~pieces))
-      (Plan.distributed plan)
-  in
-  let tree =
-    match Plan.tree plan with
-    | Some (d, extent, _items) when !remaining > 1 ->
-      Some (d, split_range ~extent ~pieces:!remaining)
-    | _ -> None
-  in
-  (cc, tree)
-
-(* All combinations of per-dimension ranges, outer dimension major. Each
-   box is a [(dim, (lo, sz))] list. *)
-let cross cc =
-  List.fold_left
-    (fun boxes (d, ranges) ->
-      List.concat_map (fun box -> List.map (fun r -> box @ [ (d, r) ]) ranges) boxes)
-    [ [] ] cc
-
 (* Tile sizes the box walker passes to [eval_box_tiled]: only dimensions
    the plan tiles (sequential cc dims with tile < extent) are split below
    the box level; everything else keeps its full extent so distributed and
@@ -133,8 +96,8 @@ let run_with_plan ?(chunks_per_worker = default_chunks_per_worker)
         | Some env -> Ok env
         | None ->
           let target = Pool.num_workers pool * chunks_per_worker in
-          let cc, tree = decompose plan ~target in
-          if cc = [] && tree = None then Ok (run_seq md env)
+          let cc_boxes, tree = Specializer.decompose plan ~target in
+          if cc_boxes = [ [] ] && tree = None then Ok (run_seq md env)
           else begin
             (* profiled walker attribution is coarse by nature: the box
                walker interprets per point, so measured time lands on the
@@ -157,7 +120,6 @@ let run_with_plan ?(chunks_per_worker = default_chunks_per_worker)
             let env = Semantics.alloc_outputs md env in
             let rank = Md_hom.rank md in
             let tiles = box_tiles md plan in
-            let cc_boxes = cross cc in
             let tree_ranges =
               match tree with Some (_, rs) -> rs | None -> []
             in

@@ -157,14 +157,15 @@ let match_matmul pool (md : Md_hom.t) env ~tile =
     | None -> None)
   | _ -> None
 
+let matmul_tile plan =
+  match List.rev (Plan.tiled plan) with
+  | (_, tile) :: _ -> max 4 (min 256 tile)
+  | [] -> 32
+
 let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
   if Array.exists (fun s -> s = 0) md.sizes then None
   else begin
-    (* reuse the plan's innermost cache tile for the blocked matmul kernel *)
-    let tile =
-      let r = Array.length plan.Plan.tile_sizes in
-      if r = 0 then 32 else max 4 (min 256 plan.Plan.tile_sizes.(r - 1))
-    in
+    let tile = matmul_tile plan in
     let matched =
       match match_dot pool md env with
       | Some m -> Some m

@@ -33,3 +33,10 @@ val try_run :
     worker). [None] means no kernel applies — including when an input
     buffer is missing or mistyped, so the generic path can report the
     error. *)
+
+val matmul_tile : Mdh_lowering.Plan.t -> int
+(** The tile the blocked matmul kernel runs with: the innermost tile of
+    {!Mdh_lowering.Plan.tiled} (clamped to [4, 256]) when the plan tiles a
+    dimension, else 32 — an untiled plan carries its extents as tile
+    sizes, and a 128-row tile would put all of matmul 128³ on one
+    worker. *)

@@ -39,10 +39,15 @@ type sample = {
 let dim_names = [| "i"; "j"; "k" |]
 
 (* Samples of element type [ty] (int32 or fp32); the random draws do not
-   depend on it, so a seed gives the same directive shape in both. *)
-let gen_sample ty rng =
+   depend on it, so a seed gives the same directive shape in both. With
+   [~long], one dim is 200-600 long and appears only in the first
+   coordinate of an access, which keeps the inputs small; without it the
+   draws are those of the plain generator. *)
+let gen_sample ?(long = false) ty rng =
   let rank = Rng.int_in rng 1 3 in
   let extents = Array.init rank (fun _ -> Rng.int_in rng 1 5) in
+  let long_dim = if long then Rng.int rng rank else -1 in
+  if long then extents.(long_dim) <- Rng.int_in rng 200 600;
   (* combine ops: all pw dims share one commutative builtin; ps uses add *)
   let pw_fn = if Rng.bool rng then Combine.add ty else Combine.max ty in
   let ops =
@@ -69,12 +74,13 @@ let gen_sample ty rng =
   let access _rng =
     (* 1-2 coordinates, each an affine combination of dims *)
     let n_coords = Rng.int_in rng 1 (max 1 rank) in
-    List.init n_coords (fun _ ->
+    List.init n_coords (fun c ->
         let base = Expr.int (Rng.int rng 2) in
         List.fold_left
           (fun acc d ->
             match Rng.int rng 3 with
             | 0 -> acc
+            | _ when d = long_dim && c > 0 -> acc
             | 1 -> Expr.(acc + idx dim_names.(d))
             | _ -> Expr.(acc + (int 2 * idx dim_names.(d))))
           base (List.init rank Fun.id))
@@ -115,8 +121,9 @@ let gen_sample ty rng =
   { dir; extents; input_names; tile_sizes; seed = Rng.int rng 1_000_000 }
 
 (* Inputs in [-10, 10]: at most 4 reads a point and 125 points keep every
-   fp32 partial below 2^24, so fp32 arithmetic on them is exact. *)
-let gen_env sample md =
+   fp32 partial below 2^24, so fp32 arithmetic on them is exact. Long
+   samples (up to 15000 points) take [~mag:2]. *)
+let gen_env ?(mag = 10) sample md =
   let rng = Rng.create sample.seed in
   Buffer.env_of_list
     (List.map
@@ -124,7 +131,7 @@ let gen_env sample md =
          let ty = i.Md_hom.inp_ty in
          Buffer.of_dense i.Md_hom.inp_name
            (Dense.of_fn ty i.Md_hom.inp_shape (fun _ ->
-                let v = Rng.int_in rng (-10) 10 in
+                let v = Rng.int_in rng (-mag) mag in
                 if Scalar.equal_ty ty Scalar.Fp32 then Scalar.f32 (float v) else Scalar.i32 v)))
        md.Md_hom.inputs)
 
@@ -266,18 +273,19 @@ let prop_analyzer_agrees_with_validate =
 (* The fast backends on fp32: the walker and the specializer must take
    every sample (all operators are builtins), Fastpath the ones a kernel
    matches — every one when [kernel] is set; all must agree with the
-   reference bit for bit. *)
-let fp32_backends_agree ~kernel sample =
+   reference bit for bit, under [schedule] (default: every parallelisable
+   dim parallel). *)
+let fp32_backends_agree ?mag ?(schedule = fun md _dev -> parallel_schedule md) ~kernel sample =
   match transform sample with
   | None -> not kernel
   | Some md ->
     let module Rt = Mdh_runtime in
-    let env = gen_env sample md in
+    let env = gen_env ?mag sample md in
     let reference = out_tensor (Semantics.reference md env) in
     let same = function Some got -> Dense.equal reference (out_tensor got) | None -> false in
     Rt.Pool.with_pool ~num_domains:1 (fun pool ->
         let dev = Rt.Exec.host_device pool in
-        match Mdh_lowering.Plan_cache.build md dev (parallel_schedule md) with
+        match Mdh_lowering.Plan_cache.build md dev (schedule md dev) with
         | Error _ -> false
         | Ok plan ->
           same
@@ -293,6 +301,25 @@ let prop_fp32_backends =
   QCheck2.Test.make ~name:"fuzz: fp32 reference == walker == specializer == fastpath"
     ~count:150 (qcheck_sample_of Scalar.Fp32)
     (fun (_, sample) -> fp32_backends_agree ~kernel:false sample)
+
+(* Long rows under random legal schedules: the specializer's 256-point
+   leaf blocks and the pool's ranges split rows part-way, and cache tiles
+   leave the leaf on a tile's inner loop. *)
+let prop_fp32_blocks =
+  QCheck2.Test.make ~name:"fuzz: fp32 long rows and tiled schedules agree on every backend"
+    ~count:60 QCheck2.Gen.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let sample = gen_sample ~long:true Scalar.Fp32 rng in
+      let schedule md dev =
+        let rec draw n =
+          match Test_plan_exec.random_schedule rng md dev with
+          | Some s -> s
+          | None -> if n = 0 then parallel_schedule md else draw (n - 1)
+        in
+        draw 20
+      in
+      fp32_backends_agree ~mag:2 ~schedule ~kernel:false sample)
 
 (* Random samples almost never take a kernel's exact shape, so this family
    builds them: dot, matvec and matmul at random extents, with the product's
@@ -421,6 +448,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_parallel_exec_matches;
       QCheck_alcotest.to_alcotest prop_fp32_backends;
       QCheck_alcotest.to_alcotest prop_fp32_kernels;
+      QCheck_alcotest.to_alcotest prop_fp32_blocks;
       QCheck_alcotest.to_alcotest prop_tuned_schedule_still_correct;
       QCheck_alcotest.to_alcotest prop_codegen_total;
       QCheck_alcotest.to_alcotest prop_record_cross_evaluator;

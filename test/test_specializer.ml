@@ -403,6 +403,173 @@ let test_cc_matches_reference () =
             (outputs_agree ~rel:1e-3 ~abs:1e-4 md got (Semantics.exec md env)))
       Catalog.all
 
+(* --- block leaves: every expression shape, operator and extent --- *)
+
+(* fp32 inputs holding small integers drawn from [values], so every
+   backend's arithmetic is exact and results must match bit for bit *)
+let small_int_env ?(values = [| -5.; -4.; -3.; -2.; -1.; 0.; 1.; 2.; 3.; 4.; 5. |])
+    (md : Md_hom.t) =
+  let rng = Rng.create 11 in
+  Buffer.env_of_list
+    (List.map
+       (fun (i : Md_hom.input) ->
+         Buffer.of_dense i.Md_hom.inp_name
+           (Dense.of_fn Scalar.Fp32 i.Md_hom.inp_shape (fun _ ->
+                Scalar.f32 values.(Rng.int rng (Array.length values)))))
+       md.Md_hom.inputs)
+
+let block_case name ~loops ~ops ~inputs ~out value =
+  Transform.to_md_hom_exn
+    (D.make ~name
+       ~out:[ D.buffer "r" Scalar.Fp32 ]
+       ~inp:(List.map (fun (b, shape) -> D.buffer ~shape b Scalar.Fp32) inputs)
+       ~combine_ops:ops
+       (List.fold_right
+          (fun (d, extent) nest -> D.for_ d extent nest)
+          loops
+          (D.body [ D.assign "r" (List.map Expr.idx out) value ])))
+
+(* sequential (leaf on the innermost loop), every parallelisable dim
+   distributed (leaf on a job's range or the tree dim, pw ranges split
+   when there are few cc points), and 4-wide cache tiles (leaf on a
+   tile's inner loop) *)
+let block_schedules md =
+  let seq = Schedule.sequential md in
+  [ seq;
+    { seq with Schedule.parallel_dims = Lower.parallelisable_dims md };
+    { seq with Schedule.tile_sizes = Array.map (fun _ -> 4) seq.Schedule.tile_sizes } ]
+
+let outputs_equal md a b =
+  List.for_all
+    (fun (o : Md_hom.output) ->
+      Dense.equal
+        (Buffer.data (Buffer.env_find a o.Md_hom.out_name))
+        (Buffer.data (Buffer.env_find b o.Md_hom.out_name)))
+    md.Md_hom.outputs
+
+let exact_everywhere pool ?values md =
+  let env = small_int_env ?values md in
+  let expected = Semantics.exec md env in
+  List.iter
+    (fun sched ->
+      let label = md.Md_hom.hom_name ^ " under " ^ Schedule.to_string sched in
+      match Specializer.try_run pool (plan_of md sched) md env with
+      | None -> Alcotest.failf "%s: specializer refused" label
+      | Some got -> check Alcotest.bool label true (outputs_equal md got expected))
+    (block_schedules md)
+
+let fadd = Combine.pw (Combine.add Scalar.Fp32)
+
+(* shapes the block compiler leaves to the per-point closure: a
+   non-affine index, an integer division lifted to float, a [let], an
+   [if], and a cast that rounds mid-expression *)
+let test_fallback_shapes () =
+  let open Expr in
+  let cases =
+    [ block_case "NonAffine" ~loops:[ ("i", 7); ("k", 300) ] ~ops:[ Combine.cc; fadd ]
+        ~inputs:[ ("a", [| 7; 300 |]); ("b", [| 300 |]) ] ~out:[ "i" ]
+        (read "a" [ idx "i"; Binop (Min, idx "k" + int 1, int 299) ] * read "b" [ idx "k" ]);
+      block_case "IntDiv" ~loops:[ ("i", 600) ] ~ops:[ Combine.cc ]
+        ~inputs:[ ("x", [| 600 |]) ] ~out:[ "i" ]
+        (cast Scalar.Fp32 (idx "i" / int 7) + read "x" [ idx "i" ]);
+      block_case "Let" ~loops:[ ("i", 5); ("k", 270) ] ~ops:[ Combine.cc; fadd ]
+        ~inputs:[ ("x", [| 5; 270 |]); ("y", [| 270 |]) ] ~out:[ "i" ]
+        (let_ "t" (read "x" [ idx "i"; idx "k" ]) ((var "t" * var "t") + read "y" [ idx "k" ]));
+      block_case "If" ~loops:[ ("i", 300) ] ~ops:[ Combine.cc ]
+        ~inputs:[ ("x", [| 300 |]) ] ~out:[ "i" ]
+        (if_ (idx "i" < int 150)
+           (Unop (Neg, read "x" [ idx "i" ]))
+           (read "x" [ idx "i" ] * f32 2.0));
+      block_case "MidCast" ~loops:[ ("i", 300) ] ~ops:[ Combine.cc ]
+        ~inputs:[ ("x", [| 300 |]); ("y", [| 300 |]); ("z", [| 300 |]) ] ~out:[ "i" ]
+        (cast Scalar.Fp32 (read "x" [ idx "i" ] / read "y" [ idx "i" ]) * read "z" [ idx "i" ]) ]
+  in
+  with_pool (fun pool -> List.iter (exact_everywhere pool) cases)
+
+(* every builtin as the pw operator (the register fold, the strided fold
+   and the partials' combine) and as a ps scan *)
+let test_builtin_operators () =
+  let reduce name fn =
+    block_case name ~loops:[ ("i", 3); ("k", 300) ] ~ops:[ Combine.cc; Combine.pw fn ]
+      ~inputs:[ ("x", [| 3; 300 |]) ] ~out:[ "i" ]
+      (Expr.read "x" [ Expr.idx "i"; Expr.idx "k" ])
+  in
+  let scan name fn =
+    block_case name ~loops:[ ("i", 300); ("j", 3) ] ~ops:[ Combine.ps fn; Combine.cc ]
+      ~inputs:[ ("x", [| 300; 3 |]) ] ~out:[ "i"; "j" ]
+      Expr.(read "x" [ idx "i"; idx "j" ] + f32 1.0)
+  in
+  with_pool (fun pool ->
+      exact_everywhere pool (reduce "PwAdd" (Combine.add Scalar.Fp32));
+      exact_everywhere pool ~values:[| -1.; 1. |] (reduce "PwMul" (Combine.mul Scalar.Fp32));
+      exact_everywhere pool (reduce "PwMin" (Combine.min Scalar.Fp32));
+      exact_everywhere pool (reduce "PwMax" (Combine.max Scalar.Fp32));
+      exact_everywhere pool (scan "PsAdd" (Combine.add Scalar.Fp32));
+      exact_everywhere pool (scan "PsMax" (Combine.max Scalar.Fp32)))
+
+let test_extent_one_dims () =
+  let open Expr in
+  with_pool (fun pool ->
+      exact_everywhere pool
+        (block_case "UnitDims" ~loops:[ ("i", 1); ("j", 5); ("k", 1) ]
+           ~ops:[ Combine.cc; Combine.cc; fadd ]
+           ~inputs:[ ("x", [| 1; 5; 1 |]) ] ~out:[ "i"; "j" ]
+           (read "x" [ idx "i"; idx "j"; idx "k" ] * f32 2.0));
+      exact_everywhere pool
+        (block_case "UnitLeaf" ~loops:[ ("i", 6); ("k", 1) ] ~ops:[ Combine.cc; fadd ]
+           ~inputs:[ ("x", [| 6 |]) ] ~out:[ "i" ]
+           (f32 3.0 - read "x" [ idx "i" + idx "k" ]));
+      (* no loop at all: the leaf is the one point *)
+      exact_everywhere pool
+        (Transform.to_md_hom_exn
+           (D.make ~name:"RankZero"
+              ~out:[ D.buffer "r" Scalar.Fp32 ]
+              ~inp:[ D.buffer "x" Scalar.Fp32 ]
+              ~combine_ops:[]
+              (D.body [ D.assign "r" [ int 0 ] (read "x" [ int 1 ] * f32 2.0) ]))))
+
+(* the profiled run shares the unprofiled one's driver, with clock reads
+   added: what it computes must not change *)
+let test_profiled_bit_identical () =
+  let module Profile = Mdh_obs.Profile in
+  with_pool (fun pool ->
+      List.iter
+        (fun name ->
+          let w = Option.get (Catalog.find name) in
+          let md = W.to_md_hom w w.W.test_params in
+          let env = w.W.gen w.W.test_params ~seed:3 in
+          List.iter
+            (fun sched ->
+              let plan = plan_of md sched in
+              let run () = Option.get (Specializer.try_run pool plan md env) in
+              let off = run () in
+              Profile.reset ();
+              Profile.set_enabled true;
+              let on =
+                Fun.protect
+                  ~finally:(fun () ->
+                    Profile.set_enabled false;
+                    Profile.reset ())
+                  run
+              in
+              check Alcotest.bool
+                (name ^ " profiled = unprofiled under " ^ Schedule.to_string sched)
+                true (outputs_equal md off on))
+            (block_schedules md))
+        [ "ccsd(t)"; "mbbs"; "jacobi1d"; "mcc" ])
+
+(* --- Fastpath's matmul tile comes from the plan only when it tiles --- *)
+
+let test_matmul_tile () =
+  let w = Option.get (Catalog.find "matmul") in
+  let md = W.to_md_hom w [ ("I", 128); ("J", 128); ("K", 128) ] in
+  let seq = Schedule.sequential md in
+  check Alcotest.int "untiled 128^3 plan" 32
+    (Fastpath.matmul_tile
+       (plan_of md { seq with Schedule.parallel_dims = Lower.parallelisable_dims md }));
+  check Alcotest.int "plan tiled at 16" 16
+    (Fastpath.matmul_tile (plan_of md { seq with Schedule.tile_sizes = [| 16; 16; 16 |] }))
+
 let suite =
   let tc = Alcotest.test_case in
   ( "specializer",
@@ -415,6 +582,11 @@ let suite =
       tc "fastpath error counted and degraded" `Quick
         test_fastpath_error_falls_back;
       tc "zero-extent workloads execute" `Quick test_zero_extent_runs;
+      tc "block fallback shapes match reference" `Quick test_fallback_shapes;
+      tc "pw and ps builtins match reference" `Quick test_builtin_operators;
+      tc "extent-1 dims match reference" `Quick test_extent_one_dims;
+      tc "profiled run is bit-identical" `Quick test_profiled_bit_identical;
+      tc "fastpath matmul tile" `Quick test_matmul_tile;
       tc "generated C reduction identities" `Slow test_openmp_identity_init;
       tc "compiled C matches reference across catalogue" `Slow
         test_cc_matches_reference ] )
