@@ -224,7 +224,11 @@ let level_attribution (plan : Plan.t) =
      running product of enclosing iteration counts); the leaf additionally
      carries the scalar-function cost per point. This is the model-side
      counterpart of the profiler's per-level self time: loop control is
-     priced per entry, point work per flop. *)
+     priced per entry, point work per flop. An innermost level that is one
+     loop (not a scan, whose post-scan pass is its own cost, nor a
+     multi-dim distribution, whose outer dims loop above the leaf) is run
+     by the executor's leaf a block at a time, so its entries are priced
+     with the leaf's. *)
   let entered = ref 1.0 in
   let weights =
     List.mapi
@@ -234,20 +238,35 @@ let level_attribution (plan : Plan.t) =
         (i, lvl, w))
       plan.Plan.levels
   in
-  let leaf_w = !entered *. float_of_int (max 1 plan.Plan.point_flops) in
+  let levels, leaf_loop =
+    match List.rev weights with
+    | (_, (( Plan.Distribute { dims = [ _ ]; _ } | Plan.Tree_reduce _ | Plan.Seq _
+           | Plan.Accumulate _ ) as lvl), w)
+      :: rest ->
+      (List.rev rest, Some (lvl, w))
+    | _ -> (weights, None)
+  in
+  let leaf_w =
+    !entered *. float_of_int (max 1 plan.Plan.point_flops)
+    +. (match leaf_loop with Some (_, w) -> w | None -> 0.0)
+  in
   let total =
-    leaf_w +. List.fold_left (fun a (_, _, w) -> a +. w) 0.0 weights
+    leaf_w +. List.fold_left (fun a (_, _, w) -> a +. w) 0.0 levels
   in
   List.map
     (fun (i, lvl, w) ->
       { ls_path = "L" ^ string_of_int i;
         ls_label = Format.asprintf "%a" Plan.pp_level lvl;
         ls_fraction = w /. total })
-    weights
+    levels
   @ [ { ls_path = "leaf";
         ls_label =
-          Printf.sprintf "point: scalar function (%d ops)"
-            plan.Plan.point_flops;
+          (match leaf_loop with
+          | None ->
+            Printf.sprintf "point: scalar function (%d ops)" plan.Plan.point_flops
+          | Some (lvl, _) ->
+            Format.asprintf "block loop: %a, scalar function (%d ops)" Plan.pp_level
+              lvl plan.Plan.point_flops);
         ls_fraction = leaf_w /. total } ]
 
 let analyse ?include_transfers (md : Md_hom.t) (dev : Device.t) cg sched =

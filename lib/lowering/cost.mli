@@ -75,9 +75,13 @@ val level_attribution : Plan.t -> level_share list
 (** The model's time attribution across a plan's levels: each level is
     charged one unit per entry of its loop body (the running product of
     enclosing iteration counts), the leaf additionally carries the
-    scalar-function flops per point. Fractions sum to 1; one entry per
-    plan level, outermost first, the leaf last — paths match the
-    profiler's, so measured and modelled shares line up row by row. *)
+    scalar-function flops per point. An innermost level that is a single
+    loop other than a scan ([Distribute] over one dim, [Tree_reduce],
+    [Seq], [Accumulate]) is the one the executor's leaf runs a block at a
+    time, so it is folded into the leaf entry. Fractions sum to 1; one
+    entry per remaining plan level, outermost first, the leaf last —
+    paths match the profiler's, so measured and modelled shares line up
+    row by row. *)
 
 val seconds :
   ?include_transfers:bool ->

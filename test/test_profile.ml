@@ -165,7 +165,9 @@ let test_add_and_time_primitives () =
       | es -> Alcotest.failf "expected 3 cells, got %d" (List.length es))
 
 (* the model side of the tree view: fractions are a distribution and the
-   paths speak the profiler's vocabulary (L<i> in level order, then leaf) *)
+   paths speak the profiler's vocabulary (L<i> in level order, then leaf;
+   matmul's innermost level, the tree-reduce dim, is the leaf's loop and
+   priced with it) *)
 let test_level_attribution_paths () =
   let w = find "matmul" in
   let md = W.to_md_hom w w.W.test_params in
@@ -182,13 +184,51 @@ let test_level_attribution_paths () =
       check Alcotest.bool "fraction in (0,1]" true
         (s.Cost.ls_fraction > 0.0 && s.Cost.ls_fraction <= 1.0))
     shares;
-  let expected_paths =
-    List.mapi (fun i _ -> "L" ^ string_of_int i) plan.Plan.levels @ [ "leaf" ]
-  in
+  let n = List.length plan.Plan.levels in
+  (match List.nth plan.Plan.levels (n - 1) with
+  | Plan.Tree_reduce _ -> ()
+  | _ -> Alcotest.fail "matmul's innermost level is no longer its tree dim");
+  let expected_paths = List.init (n - 1) (fun i -> "L" ^ string_of_int i) @ [ "leaf" ] in
   check
     Alcotest.(list string)
     "paths match profiler addressing" expected_paths
     (List.map (fun s -> s.Cost.ls_path) shares)
+
+(* the model prices only what the specializer measures: every path
+   [Cost.level_attribution] gives a share gets a cell, on every catalogue
+   plan the specializer runs — host-parallel (tree partials under two
+   workers) and sequential with 4-wide cache tiles *)
+let test_model_paths_measured () =
+  Pool.with_pool ~num_domains:2 (fun pool ->
+      List.iter
+        (fun (w : W.t) ->
+          let md = W.to_md_hom w w.W.test_params in
+          let env = w.W.gen w.W.test_params ~seed:5 in
+          let seq = Schedule.sequential md in
+          List.iter
+            (fun sched ->
+              match Plan_cache.build md (Exec.host_device pool) sched with
+              | Error e -> Alcotest.fail e
+              | Ok plan when Mdh_runtime.Specializer.supported plan md = Ok () ->
+                with_profiling (fun () ->
+                    if Mdh_runtime.Specializer.try_run pool plan md env = None then
+                      Alcotest.failf "%s: specializer refused" w.W.wl_name;
+                    let measured =
+                      List.map (fun (e : Profile.entry) -> e.Profile.path)
+                        (Profile.snapshot (Plan.digest plan))
+                    in
+                    List.iter
+                      (fun (s : Cost.level_share) ->
+                        check Alcotest.bool
+                          (Printf.sprintf "%s under %s measures %s" w.W.wl_name
+                             (Schedule.to_string sched) s.Cost.ls_path)
+                          true
+                          (List.mem s.Cost.ls_path measured))
+                      (Cost.level_attribution plan))
+              | Ok _ -> ())
+            [ host_schedule md;
+              { seq with Schedule.tile_sizes = Array.map (fun _ -> 4) seq.Schedule.tile_sizes } ])
+        Mdh_workloads.Catalog.all)
 
 let suite =
   let tc = Alcotest.test_case in
@@ -200,4 +240,5 @@ let suite =
       tc "level sum = exec cell (walker)" `Quick test_sum_walker;
       tc "digest-keyed accumulation" `Quick test_digest_accumulation;
       tc "add/add_n/time primitives" `Quick test_add_and_time_primitives;
-      tc "cost attribution paths and sum" `Quick test_level_attribution_paths ] )
+      tc "cost attribution paths and sum" `Quick test_level_attribution_paths;
+      tc "every modelled path is measured" `Quick test_model_paths_measured ] )
